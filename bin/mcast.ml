@@ -1292,21 +1292,27 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
       (Printf.sprintf "unknown workload %s (expected one of: %s)" other
          (String.concat ", " profile_workloads))
 
-(* LP-solve attribution from the metrics delta: solves/pivots by kind, the
-   per-caller cache traffic (the dynamic lp_cache.{hits,misses}.<caller>
+(* LP-solve attribution from the metrics delta: solves/pivots by kind,
+   revised-to-exact fallbacks, Multicast-LB cut rounds, the per-caller
+   cache traffic (the dynamic lp_cache.{hits,misses}.<caller>
    counters) and the pool summary. *)
 let print_lp_attribution (delta : Metrics.snapshot) =
   let c name =
     match Metrics.find delta name with Some (Metrics.Counter n) -> n | _ -> 0
   in
+  let lb_rounds, lb_solves =
+    match Metrics.find delta "formulations.lb_cut_rounds" with
+    | Some (Metrics.Histogram h) -> (int_of_float h.Metrics.h_sum, h.Metrics.h_count)
+    | _ -> (0, 0)
+  in
   Printf.printf "lp attribution:\n";
   Printf.printf
     "  solves %d float + %d exact; pivots %d float + %d exact; fallbacks %d; LB cut \
-     rounds %d\n"
+     rounds %d over %d LB solve(s)\n"
     (c "lp.solves.float") (c "lp.solves.exact") (c "lp.pivots.float")
     (c "lp.pivots.exact")
     (c "solver_chain.fallbacks")
-    (c "formulations.lb_cut_rounds");
+    lb_rounds lb_solves;
   let callers = Hashtbl.create 8 in
   let note prefix is_hits =
     let pl = String.length prefix in

@@ -31,13 +31,6 @@ let snapshot () =
     warm_hits = Metrics.counter_value warm_hits_c;
   }
 
-let reset () =
-  Metrics.set_counter float_solves 0;
-  Metrics.set_counter exact_solves 0;
-  Metrics.set_counter float_pivots 0;
-  Metrics.set_counter exact_pivots_c 0;
-  Metrics.set_counter warm_hits_c 0
-
 let since before =
   let now = snapshot () in
   {
@@ -47,8 +40,3 @@ let since before =
     exact_pivots = now.exact_pivots - before.exact_pivots;
     warm_hits = now.warm_hits - before.warm_hits;
   }
-
-let pp fmt s =
-  Format.fprintf fmt
-    "LP solves %d (exact fallbacks %d), pivots %d (exact %d), warm starts %d"
-    s.float_solves s.exact_solves s.pivots s.exact_pivots s.warm_hits

@@ -7,17 +7,14 @@
     [lp.pivots.float], [lp.pivots.exact]), so the same tallies appear in
     every metrics snapshot; this module remains the typed, record-shaped
     view the solvers and benches use. These are {e telemetry only}:
-    per-solve counts live in the solution records ({!Simplex.solution.pivots},
-    {!Simplex_exact.solution.pivots}); nothing in the solvers reads these
-    counters back, so they cannot affect results.
-
-    [reset] is not linearizable against in-flight solves; call it only from
-    sequential sections (benchmark setup, CLI entry), or use [snapshot] +
-    [since] for race-free window accounting. *)
+    per-solve counts live in the solution records
+    ({!Revised_simplex.solution.pivots}, {!Simplex_exact.solution.pivots});
+    nothing in the solvers reads these counters back, so they cannot
+    affect results. Use [snapshot] + [since] for race-free window
+    accounting. *)
 
 type snapshot = {
-  float_solves : int;
-      (** calls to the float engines ({!Revised_simplex} and {!Simplex}) *)
+  float_solves : int;  (** calls to the float engine {!Revised_simplex} *)
   exact_solves : int;  (** calls to {!Simplex_exact.solve} *)
   pivots : int;  (** total float-engine pivots, both phases *)
   exact_pivots : int;  (** total exact-engine pivots *)
@@ -41,10 +38,5 @@ val record_warm_hit : unit -> unit
 (** Current totals (atomic reads; consistent enough for reporting). *)
 val snapshot : unit -> snapshot
 
-(** Zero every counter. Sequential sections only (see above). *)
-val reset : unit -> unit
-
 (** [since before] is the per-field delta from [before] to now. *)
 val since : snapshot -> snapshot
-
-val pp : Format.formatter -> snapshot -> unit

@@ -1,30 +1,28 @@
 (** Revised primal/dual simplex over a sparse column-major model.
 
-    The preferred float engine ({!Solver_chain} tries it ahead of the
-    dense tableau {!Simplex}). Works from the basis header plus an
+    The float engine of the LP layer ({!Solver_chain} runs it first and
+    falls back to {!Simplex_exact}). Works from the basis header plus an
     LU-with-eta factorization ({!Basis}) that is rebuilt every
     {!Basis.refactor_interval} pivots or earlier when a residual check
-    detects drift. Pricing is Dantzig with the shared
-    {!Simplex.Anti_cycle} one-way Bland latch; tolerances and the
-    standard form (row normalization, slack/artificial layout, eager
-    eviction of zero-valued basic artificials) match the dense engine,
-    so both engines agree on the same models.
+    detects drift. Pricing is Dantzig with the one-way Bland latch of
+    {!Anti_cycle}; rows are normalized to rhs ≥ 0, with one
+    slack/surplus column per inequality and one artificial per Ge/Eq
+    row, and artificials basic at zero are evicted eagerly.
 
-    What the dense engine cannot do: the optimal basis is exported by
-    {e name} — structural variables by their {!Lp_model} name, the
-    slack of a row named [r] as ["s:r"], plus the full row-name list of
-    the source model — and can be fed back via [?warm] to a {e related}
-    model (same naming scheme, possibly different rows/columns). A warm
-    solve resolves the names, repairs them into a nonsingular basis of
-    the new model (rows the source model never had get their slacks
-    basic; resolved columns are eliminated strictly within the shared
-    rows, which reconstructs the dual-feasible block basis when rows
-    were only added), and re-optimizes with dual simplex (basis dual
-    feasible) or primal phase 2 (basis primal feasible). The warm path
-    is verdict-neutral: every failure mode falls back to a cold solve
-    internally, so only [Optimal] can ever come out of it, and models
-    with artificials (Ge/Eq rows after normalization) skip it
-    entirely. *)
+    The optimal basis is exported by {e name} — structural variables by
+    their {!Lp_model} name, the slack of a row named [r] as ["s:r"], plus
+    the full row-name list of the source model — and can be fed back via
+    [?warm] to a {e related} model (same naming scheme, possibly
+    different rows/columns). A warm solve resolves the names, repairs
+    them into a nonsingular basis of the new model (rows the source
+    model never had get their slacks basic; resolved columns are
+    eliminated strictly within the shared rows, which reconstructs the
+    dual-feasible block basis when rows were only added), and
+    re-optimizes with dual simplex (basis dual feasible) or primal
+    phase 2 (basis primal feasible). The warm path is verdict-neutral:
+    every failure mode falls back to a cold solve internally, so only
+    [Optimal] can ever come out of it, and models with artificials
+    (Ge/Eq rows after normalization) skip it entirely. *)
 
 (** A basis by name, portable across related models: the basic columns
     plus every row name of the model it came from (so a receiving model
@@ -38,8 +36,9 @@ type solution = {
   values : float array;  (** one value per structural variable *)
   objective : float;
   row_duals : float array;
-      (** shadow prices in input row order, for the normalized (rhs ≥ 0)
-          rows — same convention as {!Simplex.solution.row_duals} *)
+      (** shadow prices in input row order ([d objective / d rhs]), for
+          the normalized (rhs ≥ 0) rows: a row whose rhs was negated
+          reports a flipped sign *)
   pivots : int;
       (** pivots spent in this call, warm attempt and any cold restart
           included *)
@@ -61,5 +60,30 @@ val max_iterations : int
 
 (** [solve ?max_iter ?warm model]. [Stalled] means the iteration budget
     ran out or the numerics gave way — callers fall back to another
-    engine, exactly as with {!Simplex.solve}. *)
+    engine, as {!Solver_chain} does. Tests use [~max_iter:0] to provoke
+    a stall deterministically on models that need phase 1. *)
 val solve : ?max_iter:int -> ?warm:warm -> Lp_model.t -> status
+
+(** Degenerate pivots tolerated before the pricing rule switches to Bland. *)
+val stall_window : int
+
+(** Anti-cycling controller of the primal phases: Dantzig pricing until
+    the objective has stalled for {!stall_window} consecutive pivots,
+    then Bland's rule for the remainder of the phase. The switch is a
+    one-way latch — once engaged it stays engaged even if the objective
+    later improves, because releasing it would void Bland's termination
+    guarantee (a cycle alternating tiny progress with degenerate stretches
+    would re-arm Dantzig forever). Exposed so the latch semantics are
+    regression-testable. *)
+module Anti_cycle : sig
+  type t
+
+  (** [create obj] starts a controller at objective value [obj]. *)
+  val create : float -> t
+
+  (** [observe t obj] accounts one pivot that ended at objective [obj]. *)
+  val observe : t -> float -> unit
+
+  (** Whether Bland's rule is engaged. *)
+  val bland : t -> bool
+end

@@ -32,7 +32,9 @@ let histo_percentile h q =
   if h.h_count = 0 then 0.0
   else begin
     (* nearest-rank over the cumulative bucket counts; the estimate is
-       the bucket's upper bound clamped into the exact [min, max]. *)
+       the bucket's upper bound clamped into the exact [min, max]. Bucket
+       0 has no meaningful upper bound (it holds zeros and everything
+       below 1e-9), so it is estimated at the exact minimum. *)
     let rank = min h.h_count (max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count)))) in
     let est = ref h.h_max in
     let cum = ref 0 in
@@ -41,7 +43,7 @@ let histo_percentile h q =
          (fun i n ->
            cum := !cum + n;
            if n > 0 && !cum >= rank then begin
-             est := hbucket_upper i;
+             est := if i = 0 then h.h_min else hbucket_upper i;
              raise Exit
            end)
          h.h_buckets

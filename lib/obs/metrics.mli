@@ -39,8 +39,8 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 (** [set_counter c v] overwrites the value. Not linearizable against
-    in-flight [add]s — sequential sections only (CLI entry, bench setup);
-    exists so {!Lp_counters.reset} keeps its PR 3 semantics. *)
+    in-flight [add]s — sequential sections only (CLI entry, bench setup,
+    tests that pin a counter to a known value). *)
 val set_counter : counter -> int -> unit
 
 (** [gauge name] returns the registered gauge (a last-write-wins float,
@@ -73,7 +73,9 @@ type histo = {
     by nearest rank over the log-scale buckets, clamped into the exact
     [\[h_min, h_max\]] range — so the estimate is within one bucket
     width (~26% relative) of the true order statistic, which is enough
-    to gate tail-latency blowups. [0.] when empty. *)
+    to gate tail-latency blowups. A rank that falls in the underflow
+    bucket (zeros and values below 1e-9) is estimated at [h_min]. [0.]
+    when empty. *)
 val histo_percentile : histo -> float -> float
 
 type value =

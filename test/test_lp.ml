@@ -1,8 +1,26 @@
-(* Tests for the LP layer: model builder, float simplex, exact simplex, and
-   agreement between the two engines on random instances. *)
+(* Tests for the LP layer: model builder, revised (float) simplex, exact
+   simplex, the solver chain, and agreement between the two engines on
+   random instances. The exact engine is the reference throughout. *)
 
 let feps = 1e-6
 let check_f = Alcotest.(check (float feps))
+
+(* The float engine under test. Every optimum it reports is also checked
+   against the exact engine's optimum of the same model. *)
+let revised_exn m =
+  match Revised_simplex.solve m with
+  | Revised_simplex.Optimal s ->
+    (match Solver_chain.solve_exact m with
+    | Solver_chain.Optimal (e, `Exact) ->
+      check_f "exact reference objective" e.Solver_chain.objective s.Revised_simplex.objective
+    | _ -> Alcotest.fail "exact reference found no optimum");
+    s
+  | _ -> Alcotest.fail "revised engine found no optimum"
+
+(* Non-optimal verdicts must agree between the two engines too. *)
+let check_verdict name m ~revised ~exact =
+  Alcotest.(check bool) (name ^ " (revised)") true (revised (Revised_simplex.solve m));
+  Alcotest.(check bool) (name ^ " (exact)") true (exact (Solver_chain.solve_exact m))
 
 (* maximize 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's classic):
    optimum 36 at (2, 6). *)
@@ -13,10 +31,10 @@ let test_float_classic () =
   Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
   Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
   Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 36.0 s.Simplex.objective;
-  check_f "x" 2.0 s.Simplex.values.(x);
-  check_f "y" 6.0 s.Simplex.values.(y)
+  let s = revised_exn m in
+  check_f "objective" 36.0 s.Revised_simplex.objective;
+  check_f "x" 2.0 s.Revised_simplex.values.(x);
+  check_f "y" 6.0 s.Revised_simplex.values.(y)
 
 (* minimize with >= rows (needs phase 1): min 2x + 3y st x + y >= 4, x >= 1.
    Optimum 8 at (4, 0) since 2 < 3. *)
@@ -26,9 +44,9 @@ let test_float_phase1 () =
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Ge 4.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 1.0;
   Lp_model.set_objective m ~maximize:false [ (2.0, x); (3.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 8.0 s.Simplex.objective;
-  check_f "x" 4.0 s.Simplex.values.(x)
+  let s = revised_exn m in
+  check_f "objective" 8.0 s.Revised_simplex.objective;
+  check_f "x" 4.0 s.Revised_simplex.values.(x)
 
 let test_float_equality () =
   (* max x + y st x + y = 3, x - y = 1 -> unique point (2,1). *)
@@ -37,10 +55,10 @@ let test_float_equality () =
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Eq 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 3.0 s.Simplex.objective;
-  check_f "x" 2.0 s.Simplex.values.(x);
-  check_f "y" 1.0 s.Simplex.values.(y)
+  let s = revised_exn m in
+  check_f "objective" 3.0 s.Revised_simplex.objective;
+  check_f "x" 2.0 s.Revised_simplex.values.(x);
+  check_f "y" 1.0 s.Revised_simplex.values.(y)
 
 let test_float_infeasible () =
   let m = Lp_model.create () in
@@ -48,18 +66,18 @@ let test_float_infeasible () =
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  match Simplex.solve m with
-  | Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
+  check_verdict "infeasible" m
+    ~revised:(function Revised_simplex.Infeasible -> true | _ -> false)
+    ~exact:(function Solver_chain.Infeasible -> true | _ -> false)
 
 let test_float_unbounded () =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Le 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  match Simplex.solve m with
-  | Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
+  check_verdict "unbounded" m
+    ~revised:(function Revised_simplex.Unbounded -> true | _ -> false)
+    ~exact:(function Solver_chain.Unbounded -> true | _ -> false)
 
 let test_float_negative_rhs () =
   (* max -x st -x >= -5  i.e. x <= 5; optimum 0 at x = 0 (x >= 0). *)
@@ -67,18 +85,19 @@ let test_float_negative_rhs () =
   let x = Lp_model.add_var m "x" in
   Lp_model.add_constraint m [ (-1.0, x) ] Ge (-5.0);
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 5.0 s.Simplex.objective
+  let s = revised_exn m in
+  check_f "objective" 5.0 s.Revised_simplex.objective
 
 let test_float_redundant_equalities () =
-  (* Linearly dependent equality rows exercise the dead-row purge. *)
+  (* Linearly dependent equality rows: one artificial stays basic at zero
+     after phase 1 and must never rise above it. *)
   let m = Lp_model.create () in
   let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (2.0, x); (2.0, y) ] Eq 6.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 3.0 s.Simplex.objective
+  let s = revised_exn m in
+  check_f "objective" 3.0 s.Revised_simplex.objective
 
 let test_float_degenerate () =
   (* Highly degenerate LP (many constraints tight at the optimum). *)
@@ -90,8 +109,8 @@ let test_float_degenerate () =
   Lp_model.add_constraint m [ (2.0, x); (1.0, y) ] Le 2.0;
   Lp_model.add_constraint m [ (1.0, x); (2.0, y) ] Le 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 1.0 s.Simplex.objective
+  let s = revised_exn m in
+  check_f "objective" 1.0 s.Revised_simplex.objective
 
 let test_model_accessors () =
   let m = Lp_model.create () in
@@ -151,7 +170,7 @@ let test_exact_statuses () =
 (* --- fallback chain: stalled float solver rescued by the exact engine --- *)
 
 (* max x st x <= 3, x >= 1. The Ge row forces a phase-1 artificial, so with
-   a zero iteration budget the float simplex stalls deterministically —
+   a zero iteration budget the revised simplex stalls deterministically —
    exactly the failure mode solve_with_fallback must absorb. *)
 let stall_model () =
   let m = Lp_model.create () in
@@ -163,14 +182,16 @@ let stall_model () =
 
 let test_fallback_on_stall () =
   let m = stall_model () in
-  (match Simplex.solve ~max_iter:0 m with
-  | Simplex.Stalled -> ()
-  | _ -> Alcotest.fail "expected the capped float solver to stall");
+  (match Revised_simplex.solve ~max_iter:0 m with
+  | Revised_simplex.Stalled -> ()
+  | _ -> Alcotest.fail "expected the capped revised engine to stall");
   match Solver_chain.solve_with_fallback ~max_iter:0 m with
   | Solver_chain.Optimal (sol, `Exact) ->
-    check_f "exact objective" 3.0 sol.Simplex.objective;
-    check_f "exact x" 3.0 sol.Simplex.values.(0)
-  | Solver_chain.Optimal (_, `Float) -> Alcotest.fail "float engine should have stalled"
+    (* The optimum x = 3 is dyadic: the exact engine's answer converts to
+       float without rounding. *)
+    Alcotest.(check (float 0.0)) "exact objective" 3.0 sol.Solver_chain.objective;
+    Alcotest.(check (float 0.0)) "exact x" 3.0 sol.Solver_chain.values.(0)
+  | Solver_chain.Optimal (_, `Revised) -> Alcotest.fail "revised engine should have stalled"
   | _ -> Alcotest.fail "fallback did not recover the optimum"
 
 let test_fallback_passthrough () =
@@ -178,7 +199,7 @@ let test_fallback_passthrough () =
   let m = stall_model () in
   (match Solver_chain.solve_with_fallback m with
   | Solver_chain.Optimal (sol, `Revised) ->
-    check_f "revised objective" 3.0 sol.Simplex.objective
+    check_f "revised objective" 3.0 sol.Solver_chain.objective
   | _ -> Alcotest.fail "expected a revised-engine optimum");
   (* ...and infeasibility is never masked by the fallback. *)
   let m = Lp_model.create () in
@@ -198,14 +219,14 @@ let test_fallback_duals () =
   let m = stall_model () in
   match Solver_chain.solve_with_fallback ~max_iter:0 m with
   | Solver_chain.Optimal (sol, `Exact) ->
-    Alcotest.(check int) "dual per row" 2 (Array.length sol.Simplex.row_duals);
+    Alcotest.(check int) "dual per row" 2 (Array.length sol.Solver_chain.row_duals);
     (* max x st x <= 3 (binding, shadow price 1), x >= 1 (slack). *)
-    check_f "binding row dual" 1.0 sol.Simplex.row_duals.(0);
-    check_f "slack row dual" 0.0 sol.Simplex.row_duals.(1)
+    check_f "binding row dual" 1.0 sol.Solver_chain.row_duals.(0);
+    check_f "slack row dual" 0.0 sol.Solver_chain.row_duals.(1)
   | _ -> Alcotest.fail "expected the exact fallback"
 
-(* Exact duals follow the float engine's conventions: same model, same
-   duals, on a mixed instance where all engines are nondegenerate. *)
+(* Exact duals follow the revised engine's conventions: same model, same
+   duals, on an instance where both engines are nondegenerate. *)
 let test_exact_duals_match_float () =
   let mk () =
     let m = Lp_model.create () in
@@ -216,12 +237,12 @@ let test_exact_duals_match_float () =
     Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
     m
   in
-  let dense = Simplex.solve_exn (mk ()) in
+  let revised = revised_exn (mk ()) in
   match Solver_chain.solve_exact (mk ()) with
   | Solver_chain.Optimal (exact, `Exact) ->
     Array.iteri
-      (fun i d -> check_f (Printf.sprintf "row %d dual" i) d exact.Simplex.row_duals.(i))
-      dense.Simplex.row_duals
+      (fun i d -> check_f (Printf.sprintf "row %d dual" i) d exact.Solver_chain.row_duals.(i))
+      revised.Revised_simplex.row_duals
   | _ -> Alcotest.fail "exact solve failed"
 
 (* Regression (PR 8): the Bland anti-cycling latch must be one-way. The old
@@ -229,20 +250,20 @@ let test_exact_duals_match_float () =
    alternating tiny progress with degenerate stretches escaped Bland
    forever. *)
 let test_bland_latch_is_one_way () =
-  let ac = Simplex.Anti_cycle.create 0.0 in
-  for _ = 1 to Simplex.stall_window + 2 do
-    Simplex.Anti_cycle.observe ac 0.0
+  let ac = Revised_simplex.Anti_cycle.create 0.0 in
+  for _ = 1 to Revised_simplex.stall_window + 2 do
+    Revised_simplex.Anti_cycle.observe ac 0.0
   done;
-  Alcotest.(check bool) "latch engages after a stall" true (Simplex.Anti_cycle.bland ac);
-  Simplex.Anti_cycle.observe ac 1.0;
+  Alcotest.(check bool) "latch engages after a stall" true (Revised_simplex.Anti_cycle.bland ac);
+  Revised_simplex.Anti_cycle.observe ac 1.0;
   Alcotest.(check bool) "progress does not release the latch" true
-    (Simplex.Anti_cycle.bland ac);
+    (Revised_simplex.Anti_cycle.bland ac);
   (* Progress before the window fills keeps Dantzig. *)
-  let ac2 = Simplex.Anti_cycle.create 0.0 in
-  for i = 1 to 10 * Simplex.stall_window do
-    Simplex.Anti_cycle.observe ac2 (float_of_int i)
+  let ac2 = Revised_simplex.Anti_cycle.create 0.0 in
+  for i = 1 to 10 * Revised_simplex.stall_window do
+    Revised_simplex.Anti_cycle.observe ac2 (float_of_int i)
   done;
-  Alcotest.(check bool) "improving run stays on Dantzig" false (Simplex.Anti_cycle.bland ac2)
+  Alcotest.(check bool) "improving run stays on Dantzig" false (Revised_simplex.Anti_cycle.bland ac2)
 
 (* Regression (PR 8): the eager-eviction rule in the ratio test used a
    magic 1e-7 pivot tolerance while the rest of the engine uses
@@ -264,10 +285,6 @@ let check_near_degenerate name (values : float array) (objective : float) =
     (Printf.sprintf "%s: equality row satisfied (residual %.2e)" name residual)
     true (residual < 1e-6)
 
-let test_tiny_pivot_eviction_dense () =
-  let s = Simplex.solve_exn (near_degenerate_model ()) in
-  check_near_degenerate "dense" s.Simplex.values s.Simplex.objective
-
 let test_tiny_pivot_eviction_revised () =
   match Revised_simplex.solve (near_degenerate_model ()) with
   | Revised_simplex.Optimal s ->
@@ -288,7 +305,7 @@ let test_revised_classic () =
     check_f "objective" 36.0 s.Revised_simplex.objective;
     check_f "x" 2.0 s.Revised_simplex.values.(x);
     check_f "y" 6.0 s.Revised_simplex.values.(y);
-    (* Unique primal/dual optimum: duals must match the dense engine. *)
+    (* Unique primal/dual optimum, so the duals are determined. *)
     check_f "dual row 0" 0.0 s.Revised_simplex.row_duals.(0);
     check_f "dual row 1" 1.5 s.Revised_simplex.row_duals.(1);
     check_f "dual row 2" 1.0 s.Revised_simplex.row_duals.(2);
@@ -412,39 +429,6 @@ let arb_rand_lp = QCheck.make ~print:print_rand_lp gen_rand_lp
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
-let engines_agree lp =
-  let m = Lp_model.create () in
-  let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
-  List.iter
-    (fun (coefs, rhs) ->
-      let expr =
-        List.filter_map
-          (fun i -> if coefs.(i) <> 0 then Some (float_of_int coefs.(i), vars.(i)) else None)
-          (List.init lp.nv Fun.id)
-      in
-      Lp_model.add_constraint m expr Le (float_of_int rhs))
-    lp.rows_i;
-  Lp_model.set_objective m ~maximize:true
-    (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
-  let exact_rows =
-    List.map
-      (fun (coefs, rhs) ->
-        ( List.filter_map
-            (fun i -> if coefs.(i) <> 0 then Some (Rat.of_int coefs.(i), i) else None)
-            (List.init lp.nv Fun.id),
-          Lp_model.Le,
-          Rat.of_int rhs ))
-      lp.rows_i
-  in
-  let exact =
-    Simplex_exact.solve_exn ~n_vars:lp.nv ~maximize:true
-      ~objective:(List.init lp.nv (fun i -> (Rat.of_int lp.obj.(i), i)))
-      exact_rows
-  in
-  let float_sol = Simplex.solve_exn m in
-  abs_float (float_sol.Simplex.objective -. Rat.to_float exact.Simplex_exact.objective)
-  < 1e-6
-
 let model_of_rand_lp lp =
   let m = Lp_model.create () in
   let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
@@ -461,60 +445,76 @@ let model_of_rand_lp lp =
     (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
   m
 
-(* Revised vs dense vs warm-restarted-revised: all three must agree with
-   the dense engine's objective, and re-solving warm from the revised
-   engine's own optimal basis must stay at the optimum. *)
+(* The reference optimum, stated directly in exact integers (not through
+   the float model), so it is independent of the engines under test. *)
+let exact_objective lp =
+  let exact_rows =
+    List.map
+      (fun (coefs, rhs) ->
+        ( List.filter_map
+            (fun i -> if coefs.(i) <> 0 then Some (Rat.of_int coefs.(i), i) else None)
+            (List.init lp.nv Fun.id),
+          Lp_model.Le,
+          Rat.of_int rhs ))
+      lp.rows_i
+  in
+  let exact =
+    Simplex_exact.solve_exn ~n_vars:lp.nv ~maximize:true
+      ~objective:(List.init lp.nv (fun i -> (Rat.of_int lp.obj.(i), i)))
+      exact_rows
+  in
+  Rat.to_float exact.Simplex_exact.objective
+
+let close a b = abs_float (a -. b) < 1e-6 *. (1.0 +. abs_float a)
+
+let feasible lp (values : float array) =
+  List.for_all
+    (fun (coefs, rhs) ->
+      let lhs = ref 0.0 in
+      Array.iteri (fun i c -> lhs := !lhs +. (float_of_int c *. values.(i))) coefs;
+      !lhs <= float_of_int rhs +. 1e-6)
+    lp.rows_i
+  && Array.for_all (fun v -> v >= -1e-9) values
+
+(* The solver chain reaches the exact optimum. *)
+let engines_agree lp =
+  match Solver_chain.solve_with_fallback (model_of_rand_lp lp) with
+  | Solver_chain.Optimal (s, _) -> close (exact_objective lp) s.Solver_chain.objective
+  | _ -> false
+
+(* Revised cold and warm-restarted: both must reach the exact optimum at
+   a feasible point, and re-solving warm from the revised engine's own
+   optimal basis must not cost more pivots than the cold solve. *)
 let revised_agrees lp =
-  let dense = Simplex.solve_exn (model_of_rand_lp lp) in
+  let reference = exact_objective lp in
   match Revised_simplex.solve (model_of_rand_lp lp) with
   | Revised_simplex.Optimal r ->
-    let close a b = abs_float (a -. b) < 1e-6 *. (1.0 +. abs_float a) in
-    close dense.Simplex.objective r.Revised_simplex.objective
-    && List.for_all
-         (fun (coefs, rhs) ->
-           let lhs = ref 0.0 in
-           Array.iteri
-             (fun i c -> lhs := !lhs +. (float_of_int c *. r.Revised_simplex.values.(i)))
-             coefs;
-           !lhs <= float_of_int rhs +. 1e-6)
-         lp.rows_i
-    && Array.for_all (fun v -> v >= -1e-9) r.Revised_simplex.values
+    close reference r.Revised_simplex.objective
+    && feasible lp r.Revised_simplex.values
     &&
     (match Revised_simplex.solve ~warm:r.Revised_simplex.basis (model_of_rand_lp lp) with
     | Revised_simplex.Optimal w ->
       w.Revised_simplex.warm_used
-      && close dense.Simplex.objective w.Revised_simplex.objective
+      && close reference w.Revised_simplex.objective
       && w.Revised_simplex.pivots <= r.Revised_simplex.pivots
     | _ -> false)
   | _ -> false
+
+(* Chain optima are feasible on either rung: a zero pivot budget sends
+   every model that needs a pivot to the exact fallback. *)
+let chain_feasible lp =
+  List.for_all
+    (fun max_iter ->
+      match Solver_chain.solve_with_fallback ?max_iter (model_of_rand_lp lp) with
+      | Solver_chain.Optimal (s, _) -> feasible lp s.Solver_chain.values
+      | _ -> false)
+    [ None; Some 0 ]
 
 let lp_props =
   [
     prop "float and exact engines agree" 150 arb_rand_lp engines_agree;
     prop "revised engine agrees and restarts warm" 150 arb_rand_lp revised_agrees;
-    prop "optimal solutions are feasible" 150 arb_rand_lp (fun lp ->
-        let m = Lp_model.create () in
-        let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
-        List.iter
-          (fun (coefs, rhs) ->
-            let expr =
-              List.filter_map
-                (fun i ->
-                  if coefs.(i) <> 0 then Some (float_of_int coefs.(i), vars.(i)) else None)
-                (List.init lp.nv Fun.id)
-            in
-            Lp_model.add_constraint m expr Le (float_of_int rhs))
-          lp.rows_i;
-        Lp_model.set_objective m ~maximize:true
-          (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
-        let s = Simplex.solve_exn m in
-        List.for_all
-          (fun (coefs, rhs) ->
-            let lhs = ref 0.0 in
-            Array.iteri (fun i c -> lhs := !lhs +. (float_of_int c *. s.Simplex.values.(i))) coefs;
-            !lhs <= float_of_int rhs +. 1e-6)
-          lp.rows_i
-        && Array.for_all (fun v -> v >= -1e-9) s.Simplex.values);
+    prop "optimal solutions are feasible" 150 arb_rand_lp chain_feasible;
   ]
 
 let suite =
@@ -536,7 +536,6 @@ let suite =
     ("fallback: exact solutions carry duals", `Quick, test_fallback_duals);
     ("exact duals match the float engine", `Quick, test_exact_duals_match_float);
     ("anti-cycle: Bland latch is one-way", `Quick, test_bland_latch_is_one_way);
-    ("tiny-pivot eviction: dense", `Quick, test_tiny_pivot_eviction_dense);
     ("tiny-pivot eviction: revised", `Quick, test_tiny_pivot_eviction_revised);
     ("revised: classic with duals and basis", `Quick, test_revised_classic);
     ("revised: warm dual re-solve beats cold", `Quick, test_revised_warm_dual_resolve);

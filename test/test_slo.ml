@@ -315,20 +315,43 @@ let test_histo_percentiles () =
   for i = 1 to 100 do
     Metrics.observe h (float_of_int i)
   done;
-  match Metrics.find (Metrics.snapshot ()) "test_slo.latency" with
-  | Some (Metrics.Histogram hist) ->
-    let p50 = Metrics.histo_percentile hist 0.5
-    and p90 = Metrics.histo_percentile hist 0.9
-    and p99 = Metrics.histo_percentile hist 0.99 in
-    Alcotest.(check bool) "percentiles are monotone" true (p50 <= p90 && p90 <= p99);
-    Alcotest.(check bool) "percentiles within range" true (p50 >= 1.0 && p99 <= 100.0);
-    (* log-scale buckets are coarse; the median of 1..100 must still land
-       in the right decade *)
-    Alcotest.(check bool) "p50 roughly central" true (p50 >= 20.0 && p50 <= 80.0);
-    let js = Metrics.to_json (Metrics.snapshot ()) in
-    Alcotest.(check bool) "json exports p50" true (contains js "\"p50\"");
-    Alcotest.(check bool) "json exports p99" true (contains js "\"p99\"")
-  | _ -> Alcotest.fail "histogram missing from snapshot"
+  (* Samples below the first log bucket (zeros here) are estimated at the
+     exact minimum, not at the bucket's 1e-9 upper bound. *)
+  let z = Metrics.histogram "test_slo.zeros" in
+  for _ = 1 to 5 do
+    Metrics.observe z 0.0
+  done;
+  let mixed = Metrics.histogram "test_slo.mostly_zeros" in
+  List.iter (Metrics.observe mixed) [ 0.0; 0.0; 0.0; 4.0 ];
+  let snap = Metrics.snapshot () in
+  let find name =
+    match Metrics.find snap name with
+    | Some (Metrics.Histogram hist) -> hist
+    | _ -> Alcotest.fail (name ^ " missing from snapshot")
+  in
+  let hist = find "test_slo.latency" in
+  let p50 = Metrics.histo_percentile hist 0.5
+  and p90 = Metrics.histo_percentile hist 0.9
+  and p99 = Metrics.histo_percentile hist 0.99 in
+  Alcotest.(check bool) "percentiles are monotone" true (p50 <= p90 && p90 <= p99);
+  Alcotest.(check bool) "percentiles within range" true (p50 >= 1.0 && p99 <= 100.0);
+  (* log-scale buckets are coarse; the median of 1..100 must still land
+     in the right decade *)
+  Alcotest.(check bool) "p50 roughly central" true (p50 >= 20.0 && p50 <= 80.0);
+  let zeros = find "test_slo.zeros" in
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "all-zeros p%g" (100.0 *. q))
+        0.0
+        (Metrics.histo_percentile zeros q))
+    [ 0.5; 0.9; 0.99 ];
+  let mixed = find "test_slo.mostly_zeros" in
+  Alcotest.(check (float 0.0)) "mostly-zeros p50" 0.0 (Metrics.histo_percentile mixed 0.5);
+  Alcotest.(check (float 0.0)) "mostly-zeros p99" 4.0 (Metrics.histo_percentile mixed 0.99);
+  let js = Metrics.to_json snap in
+  Alcotest.(check bool) "json exports p50" true (contains js "\"p50\"");
+  Alcotest.(check bool) "json exports p99" true (contains js "\"p99\"")
 
 let suite =
   [
