@@ -309,6 +309,10 @@ let tree_cmd =
 (* --- simulate --- *)
 
 let simulate file periods trace metrics =
+  if periods < 1 then begin
+    prerr_endline "mcast: --periods must be at least 1";
+    exit 1
+  end;
   with_observability ~trace ~metrics @@ fun () ->
   let p = read_platform file in
   match Mcph.run p with
@@ -323,7 +327,9 @@ let simulate file periods trace metrics =
       (Rat.to_string sched.Schedule.period)
       sched.Schedule.messages_per_period
       (List.length sched.Schedule.transfers);
-    (match Event_sim.run sched ~periods with
+    (* Fewer periods than the pipeline needs to warm up leave the rate
+       window empty: clamp as broadcast-schedule and scatter-schedule do. *)
+    (match Event_sim.run sched ~periods:(max periods (Schedule.init_periods sched + 3)) with
     | Error e -> failwith ("simulation failed: " ^ e)
     | Ok stats ->
       Printf.printf "simulated %d periods: throughput %.6f (predicted %.6f), max latency %.1f\n"
@@ -333,7 +339,10 @@ let simulate file periods trace metrics =
 
 let simulate_cmd =
   let periods =
-    let doc = "Number of periods to replay." in
+    let doc =
+      "Number of periods to replay (at least 1; raised to the pipeline depth + 3 so the \
+       steady-state window is not empty)."
+    in
     Arg.(value & opt int 12 & info [ "periods" ] ~docv:"N" ~doc)
   in
   Cmd.v

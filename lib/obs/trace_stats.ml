@@ -20,6 +20,7 @@ type domain_stat = {
   ds_busy : float;
   ds_busy_fraction : float;
   ds_max_gap : float;
+  ds_lifetime : float;
 }
 
 type step = {
@@ -176,6 +177,12 @@ let of_events ?(dropped = 0) events =
           ds_busy = busy;
           ds_busy_fraction = (if wall > 0.0 then busy /. wall else 0.0);
           ds_max_gap = max_gap;
+          ds_lifetime =
+            (match roots with
+            | [] -> 0.0
+            | r :: _ ->
+              List.fold_left (fun a r -> Float.max a (stop r.n_event)) 0.0 roots
+              -. r.n_event.Trace.ev_ts);
         })
       fs
   in
@@ -250,11 +257,12 @@ let to_text ?(top = 15) p =
     p.p_names;
   if List.length p.p_names > top then
     pr "  ... %d more span names below the top %d\n" (List.length p.p_names - top) top;
+  (* Pool domains are spawned per map, so each one only lives for part of
+     the run: coverage is self time over the summed domain lifetimes. *)
+  let lifetimes = List.fold_left (fun a d -> a +. d.ds_lifetime) 0.0 p.p_domains in
   pr "self-time total %.4f s over %d domain(s); wall %.4f s (coverage %.1f%%)\n" self_total
     (List.length p.p_domains) p.p_wall
-    (if p.p_wall > 0.0 && p.p_domains <> [] then
-       100.0 *. self_total /. (p.p_wall *. float_of_int (List.length p.p_domains))
-     else 0.0);
+    (if lifetimes > 0.0 then 100.0 *. self_total /. lifetimes else 0.0);
   if p.p_domains <> [] then begin
     pr "pool utilization (root spans per domain):\n";
     pr "%8s %7s %9s %7s %14s\n" "domain" "spans" "busy(s)" "busy%" "max idle(s)";

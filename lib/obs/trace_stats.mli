@@ -60,6 +60,7 @@ type domain_stat = {
   ds_busy : float;  (** seconds inside root spans *)
   ds_busy_fraction : float;  (** [ds_busy] / profile wall-clock *)
   ds_max_gap : float;  (** largest idle gap, seconds *)
+  ds_lifetime : float;  (** first root span start to last root span end *)
 }
 
 (** One step of the critical-path descent. *)
@@ -99,8 +100,9 @@ val compute : unit -> profile
 val total_self : profile -> float
 
 (** Human-readable profile: the top-[top] (default 15) self-time table,
-    the self-vs-wall sum line, the per-domain utilization table, and the
-    critical path. *)
+    the self-time sum line (coverage: self time over the summed domain
+    lifetimes, 100% when every live domain is always inside a span), the
+    per-domain utilization table, and the critical path. *)
 val to_text : ?top:int -> profile -> string
 
 (** The profile as a JSON object ([wall_seconds], [spans], [instants],

@@ -1,43 +1,34 @@
 (** Discrete-event replay of a periodic multicast schedule.
 
     The simulator unrolls a {!Schedule.t} over a number of periods and
-    replays every transfer as a timed event under one-port semantics. It
-    independently re-verifies what the schedule construction promises:
+    replays every transfer as a timed event. One replay pass serves two
+    readings. Per (tree, edge) pair it turns cumulative busy time into
+    receptions at whole-message granularity (a busy interval carrying [q]
+    messages of cost [c] delivers message boundaries at [start + c,
+    start + 2c, ...]; receptions may span consecutive busy intervals),
+    then validates them in completion order: a reception counts only if
+    the sender is the tree root or already held a validly received copy
+    when the transmission began. A target at depth [d] of tree [k] is owed
+    messages [0 .. (periods - d) * m_k - 1] within the horizon.
 
-    - {b port exclusivity}: no node ever runs two sends (or two receives)
-      concurrently;
-    - {b causality}: a node only forwards messages it has already fully
-      received (the source owns all messages from the start; a node at
-      depth [d] of tree [k] forwards message [m] only after its own
-      reception of [m], which happens one period earlier);
-    - {b delivery completeness}: a target at depth [d] of tree [k] is owed
-      messages [0 .. (periods - d) * m_k - 1] within the horizon, each
-      exactly once — dropped and duplicated deliveries are both reported.
-
-    Message accounting works at whole-message granularity: a busy interval
-    carrying [q] messages of cost [c] delivers message boundaries at
-    [start + c, start + 2c, ...]; receptions may span consecutive busy
-    intervals of the same (tree, edge) pair. *)
-
-type delivery = {
-  target : int;
-  tree : int;
-  message : int; (** global message index of that tree, 0-based *)
-  time : Rat.t; (** absolute completion time of the reception *)
-}
+    {!run} reads the fault-free pass as a verifier, {!run_with_faults}
+    reads a faulty one as a loss report. *)
 
 type stats = {
   periods : int;
-  messages_delivered : int; (** total target-message deliveries *)
+  messages_delivered : int; (** valid target receptions, owed or not *)
   measured_throughput : float;
       (** distinct multicasts fully delivered per time unit, in steady state *)
   max_latency : float; (** worst emission-to-last-delivery latency *)
-  deliveries : delivery list;
 }
 
-(** [run sched ~periods] replays the schedule. Returns [Error reason] if a
-    violation is detected. [periods] must exceed the pipeline depth
-    ({!Schedule.init_periods}) for any message to be fully delivered. *)
+(** [run sched ~periods] replays the schedule fault-free and re-verifies
+    what its construction promises: {b port exclusivity} (no node runs two
+    sends or two receives concurrently), {b causality} (no rejected
+    reception: nodes only forward what they fully received) and {b delivery
+    completeness} (every owed delivery happens, none twice). Returns
+    [Error reason] on the first violation, or when [periods < 1]. [periods]
+    must exceed {!Schedule.init_periods} for any message to be delivered. *)
 val run : Schedule.t -> periods:int -> (stats, string) Result.t
 
 (** One target-message delivery that a fault scenario prevented. *)
@@ -60,9 +51,7 @@ type fault_stats = {
     against a {!Fault.scenario} — the schedule is not re-timed. A transfer
     over a dead link makes no progress during its reserved slot; a degraded
     link accrues progress at rate [1/factor], so messages complete late or
-    not at all within the horizon. Receptions are validated in completion
-    order: one counts only if the sender is the tree root or itself held a
-    validly received copy when transmission began, so a loss near the root
-    cascades to the whole subtree. Unlike {!run} this never aborts — it
-    reports which owed deliveries were lost and what throughput survived. *)
+    not at all, and a loss near the root cascades to the whole subtree.
+    Unlike {!run} this never aborts — it reports which owed deliveries were
+    lost and what throughput survived. *)
 val run_with_faults : Schedule.t -> faults:Fault.scenario -> periods:int -> fault_stats

@@ -108,6 +108,23 @@ let test_profile_numbers () =
     [ "A"; "C" ]
     (List.map (fun (s : Trace_stats.step) -> s.Trace_stats.st_name) p.Trace_stats.p_critical)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let test_coverage_over_domain_lifetimes () =
+  (* Domain 0 is busy for the whole run [0, 10]; two sequential pool maps
+     each spawn a short-lived worker, domain 1 over [1, 3] and domain 2
+     over [5, 8]. Every domain is inside a span for all of its lifetime, so
+     coverage is 15 s of self time over 10 + 2 + 3 s of lifetimes: 100%,
+     not 15 / (3 domains x 10 s wall) = 50%. *)
+  let p =
+    Trace_stats.of_events [ span "main" 0.0 10.0; span ~tid:1 "w" 1.0 2.0; span ~tid:2 "w" 5.0 3.0 ]
+  in
+  let text = Trace_stats.to_text p in
+  Alcotest.(check bool) ("coverage 100%: " ^ text) true (contains text "(coverage 100.0%)")
+
 let test_profile_empty_and_renderers () =
   let empty = Trace_stats.of_events [] in
   Alcotest.(check (float 0.0)) "empty wall" 0.0 empty.Trace_stats.p_wall;
@@ -115,11 +132,6 @@ let test_profile_empty_and_renderers () =
     (String.length (Trace_stats.to_text empty) > 0);
   let p = Trace_stats.of_events ~dropped:5 sample_events in
   let text = Trace_stats.to_text ~top:2 p in
-  let contains haystack needle =
-    let nh = String.length haystack and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   Alcotest.(check bool) "dropped events surfaced in text" true
     (contains text "5 events dropped");
   Alcotest.(check bool) "top cap mentions the hidden names" true (contains text "more span names");
@@ -314,6 +326,8 @@ let suite =
     Alcotest.test_case "shared endpoints make siblings" `Quick test_shared_endpoint_siblings;
     Alcotest.test_case "profile numbers" `Quick test_profile_numbers;
     Alcotest.test_case "empty profile and renderers" `Quick test_profile_empty_and_renderers;
+    Alcotest.test_case "coverage over domain lifetimes" `Quick
+      test_coverage_over_domain_lifetimes;
     Alcotest.test_case "folded output exact" `Quick test_folded_exact;
     Alcotest.test_case "gate: pass and 2x-pivot fail" `Quick test_regress_pass_and_fail;
     Alcotest.test_case "gate: hit rate, missing, new" `Quick

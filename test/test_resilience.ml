@@ -363,9 +363,8 @@ let test_detects_causality_violation () =
   in
   match Event_sim.run (Schedule.with_transfers sched transfers) ~periods:8 with
   | Error e ->
-    Alcotest.(check bool) ("causality error: " ^ e) true
-      (String.length e > 0
-      && (String.sub e 0 4 = "node" || String.sub e 0 7 = "dropped"))
+    Alcotest.(check string) "causality error"
+      "node 1 forwards tree-0 message 0 at 1 before receiving it at 3/2" e
   | Ok _ -> Alcotest.fail "forwarding before reception went undetected"
 
 let test_detects_dropped_delivery () =
@@ -378,9 +377,80 @@ let test_detects_dropped_delivery () =
   let transfers = List.filter (fun tr -> tr <> victim) sched.Schedule.transfers in
   match Event_sim.run (Schedule.with_transfers sched transfers) ~periods:8 with
   | Error e ->
-    Alcotest.(check bool) ("dropped-delivery error: " ^ e) true
-      (String.length e >= 7 && String.sub e 0 7 = "dropped")
+    Alcotest.(check string) "dropped-delivery error"
+      "dropped delivery: tree-1 message 0 never reaches target 4" e
   | Ok _ -> Alcotest.fail "a missing delivery went undetected"
+
+let test_detects_duplicate_delivery () =
+  (* Triangle 0 -> 1 -> 2 plus the non-tree edge 0 -> 2, all unit costs,
+     weight 1/2 (period 2): the tree's transfers occupy [0, 1) of each
+     period. An extra root transfer 0 -> 2 in the idle [1, 2) slot is legal
+     on every port and causal (the root holds everything), but hands target
+     2 each message a second time. *)
+  let g = Digraph.create 3 in
+  List.iter
+    (fun (src, dst) -> Digraph.add_edge g ~src ~dst ~cost:Rat.one)
+    [ (0, 1); (1, 2); (0, 2) ];
+  let p = Platform.make g ~source:0 ~targets:[ 1; 2 ] in
+  let t = Multicast_tree.of_edges_exn p [ (0, 1); (1, 2) ] in
+  let sched = Schedule.of_tree_set (Tree_set.make [ (t, q 1 2) ]) in
+  Alcotest.(check bool) "the honest schedule passes" true
+    (Result.is_ok (Event_sim.run sched ~periods:8));
+  let extra = { Schedule.src = 0; dst = 2; tree = 0; start = Rat.one; finish = Rat.of_int 2 } in
+  let doubled = Schedule.with_transfers sched (extra :: sched.Schedule.transfers) in
+  match Event_sim.run doubled ~periods:8 with
+  | Error e ->
+    Alcotest.(check string) "duplicate-delivery error"
+      "duplicate delivery: tree-0 message 0 reaches target 2 2 times" e
+  | Ok _ -> Alcotest.fail "a duplicated delivery went undetected"
+
+let test_zero_periods_is_an_error () =
+  let sched = two_relay_sched () in
+  match Event_sim.run sched ~periods:0 with
+  | Error e -> Alcotest.(check string) "error" "need at least one period, got 0" e
+  | Ok _ -> Alcotest.fail "a zero-period replay succeeded"
+
+(* Exact replay statistics on five schedule families: any change to the
+   replay's progress arithmetic, owed window or rate window shows here. *)
+let test_replay_stats_pinned () =
+  let pin name sched ~periods ~thr ~delivered ~latency =
+    match Event_sim.run sched ~periods with
+    | Error e -> Alcotest.failf "%s rejected: %s" name e
+    | Ok s ->
+      Alcotest.(check int) (name ^ ": periods") periods s.Event_sim.periods;
+      Alcotest.(check (float 0.0)) (name ^ ": throughput") thr s.Event_sim.measured_throughput;
+      Alcotest.(check int) (name ^ ": delivered") delivered s.Event_sim.messages_delivered;
+      Alcotest.(check (float 0.0)) (name ^ ": max latency") latency s.Event_sim.max_latency
+  in
+  pin "two_relay" (two_relay_sched ()) ~periods:12 ~thr:1.0 ~delivered:44 ~latency:4.0;
+  let chain = Multicast_tree.of_edges_exn (Generators.chain ~length:4 ~cost:Rat.one)
+      [ (0, 1); (1, 2); (2, 3); (3, 4) ]
+  in
+  pin "unit chain" (Schedule.of_tree_set (Tree_set.make [ (chain, Rat.one) ])) ~periods:10
+    ~thr:1.0 ~delivered:7 ~latency:4.0;
+  (match Mcph.run (tiers_platform 3) with
+  | None -> Alcotest.fail "mcph"
+  | Some r ->
+    let s = Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ]) in
+    pin "tiers-small MCPH" s ~periods:(Schedule.init_periods s + 5) ~thr:0x1.85a1a2da8f116p-7
+      ~delivered:510 ~latency:4241.0);
+  let p =
+    Generators.random_connected (Random.State.make [| 10 |]) ~nodes:8 ~extra_edges:4 ~min_cost:1
+      ~max_cost:10 ~n_targets:3
+  in
+  let packed =
+    Option.map (Arborescence_packing.schedule_of_broadcast p) (Formulations.broadcast_eb p)
+  in
+  (match packed with
+  | Some (Ok (s, _)) ->
+    pin "arborescence packing" s ~periods:(Schedule.init_periods s + 5)
+      ~thr:0x1.2658c3fe946a8p+0 ~delivered:47601 ~latency:0x1.c28cccccccccdp+11
+  | _ -> Alcotest.fail "packing");
+  let p = Paper_platforms.two_relay () in
+  match Scatter_schedule.of_solution p (Option.get (Formulations.multicast_ub p)) with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    pin "scatter" s ~periods:(Schedule.init_periods s + 6) ~thr:1.0 ~delivered:14 ~latency:4.0
 
 let test_intact_schedules_still_pass () =
   (* The new detector must not reject the honest schedules. *)
@@ -706,6 +776,9 @@ let suite =
     ("detector: one-port overlap", `Quick, test_detects_port_overlap);
     ("detector: forwarding before reception", `Quick, test_detects_causality_violation);
     ("detector: dropped delivery", `Quick, test_detects_dropped_delivery);
+    ("detector: duplicate delivery", `Quick, test_detects_duplicate_delivery);
+    ("replay: zero periods is an error", `Quick, test_zero_periods_is_an_error);
+    ("replay: stats pinned on five schedules", `Quick, test_replay_stats_pinned);
     ("detector: honest schedules still pass", `Quick, test_intact_schedules_still_pass);
     ("repair: reroutes around a dead relay", `Quick, test_repair_reroutes_two_relay);
     ("repair: drops a dead target", `Quick, test_repair_drops_dead_target);
